@@ -23,17 +23,16 @@ HTTP against an in-process server:
   ``cluster_vs_single_proc_rps_ratio`` is the scale-out factor (or,
   on a single core, the dispatch-overhead factor).
 
-Every run appends a record to ``BENCH_service.json`` at the repo root
-via ``make bench-service``.  The smoke tier (N=2·10⁴ rows) always
-runs; the full tier (N=10⁵) is opt-in via ``BENCH_SERVICE_FULL=1``;
-``make bench-cluster`` adds a worker-count sweep
-(``BENCH_CLUSTER_SWEEP=1``).
+``make bench-service`` appends a record to ``BENCH_service.json`` at the
+repo root; other runs leave it untouched (see ``bench_record.py``).  The
+smoke tier (N=2·10⁴ rows) always runs; the full tier (N=10⁵) is opt-in
+via ``BENCH_SERVICE_FULL=1``; ``make bench-cluster`` adds a
+worker-count sweep (``BENCH_CLUSTER_SWEEP=1``).
 """
 
 from __future__ import annotations
 
 import itertools
-import json
 import os
 import statistics
 import threading
@@ -48,6 +47,8 @@ from repro.factorize.report import validate_report
 from repro.relations.io import write_csv
 from repro.service import Service, ServiceClient, ServiceConfig
 
+from bench_record import append_record
+
 REPO_ROOT = Path(__file__).resolve().parent.parent
 RESULTS_PATH = REPO_ROOT / "BENCH_service.json"
 
@@ -58,26 +59,12 @@ _RECORD: dict = {
 }
 
 
-def _append_record() -> None:
-    _RECORD["timestamp"] = time.time()
-    history = []
-    if RESULTS_PATH.exists():
-        try:
-            history = json.loads(RESULTS_PATH.read_text())
-        except json.JSONDecodeError:
-            history = []
-    if not isinstance(history, list):
-        history = [history]
-    history.append(_RECORD)
-    RESULTS_PATH.write_text(json.dumps(history, indent=2, sort_keys=True) + "\n")
-
-
 @pytest.fixture(scope="module", autouse=True)
 def _append_results():
-    """Accumulate this session's numbers into the bench history file."""
+    """Append this session's numbers to the bench history file."""
     yield
     if _RECORD["tiers"]:
-        _append_record()
+        append_record(RESULTS_PATH, _RECORD)
 
 
 def _tier_params():

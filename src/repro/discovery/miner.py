@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 from repro.core.jmeasure import j_measure
 from repro.discovery.context import SearchContext
-from repro.discovery.scoring import MVDSplit, SplitScorer, make_scorer
+from repro.discovery.scoring import MVDSplit
 from repro.discovery.strategies import get_strategy
 from repro.discovery.strategies.base import best_split_in_context, maximal_bags
 from repro.errors import DiscoveryError
@@ -90,7 +90,6 @@ def best_split(
     context = SearchContext(
         relation=relation,
         engine=engine,
-        scorer=make_scorer(),
         max_separator_size=max_separator_size,
         exact_partition_limit=exact_partition_limit,
     )
@@ -105,8 +104,6 @@ def mine_jointree(
     exact_partition_limit: int = 10,
     compute_loss: bool = True,
     strategy: str = "recursive",
-    workers: int | None = None,
-    scorer: SplitScorer | None = None,
     deadline: float | None = None,
     deadline_at: float | None = None,
     seed: int = 0,
@@ -133,12 +130,6 @@ def mine_jointree(
         Registered search mode (see
         :func:`repro.discovery.strategies.available_strategies`);
         ``"recursive"`` reproduces the classic miner bit-for-bit.
-    workers:
-        Worker-process count for split scoring; > 1 shards candidate
-        batches across a ``multiprocessing`` pool and merges the memo
-        caches back.  Default: serial.
-    scorer:
-        Explicit scoring backend (overrides ``workers``).
     deadline:
         Wall-clock budget in seconds; deadline-aware strategies
         (``anytime``, and all strategies' refinement loops) return their
@@ -170,21 +161,12 @@ def mine_jointree(
         threshold=threshold,
         max_separator_size=max_separator_size,
         exact_partition_limit=exact_partition_limit,
-        scorer=scorer,
-        workers=workers,
         deadline_seconds=deadline,
         deadline_at=deadline_at,
         seed=seed,
         backend=backend,
     )
-    search = get_strategy(strategy)
-    try:
-        outcome = search.search(context)
-    finally:
-        # Only close pools the miner itself created; caller-supplied
-        # scorers stay open for reuse across calls.
-        if scorer is None:
-            context.close()
+    outcome = get_strategy(strategy).search(context)
     return finalize_outcome(context, outcome, compute_loss=compute_loss)
 
 

@@ -2,7 +2,7 @@
 
 A *discovery strategy* turns a :class:`~repro.discovery.context.SearchContext`
 into a set of bags forming an acyclic schema.  Strategies never talk to
-entropy caches or worker pools directly — candidate enumeration lives
+entropy caches directly — candidate enumeration lives
 here and all CMI evaluation goes through ``context.scorer`` — so a new
 search mode is one subclass registered with
 :func:`repro.discovery.strategies.register_strategy`.

@@ -31,7 +31,6 @@ Miller–Madow-corrected estimates.  The memo layer is backend-agnostic.
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections.abc import Iterable
 
@@ -153,29 +152,19 @@ class EntropyEngine:
     def cache_snapshot(self) -> dict[tuple[str, ...], float]:
         """A shallow copy of the memo: canonical subset key → ``H`` (nats).
 
-        Used by the parallel split scorer to ship a worker's newly
-        computed entropies back to the parent process.
+        Used to persist a relation's memo alongside its snapshot and to
+        ship a cluster worker's newly computed entropies back to the
+        front end.
         """
         return dict(self._cache)
-
-    def cache_entries_since(self, mark: int) -> dict[tuple[str, ...], float]:
-        """Entries added after the first ``mark`` insertions.
-
-        The memo only ever grows, so ``mark = cache_size()`` taken before
-        a unit of work identifies exactly that work's new entries (dicts
-        preserve insertion order) without copying the whole cache.
-        """
-        if mark <= 0:
-            return dict(self._cache)
-        return dict(itertools.islice(self._cache.items(), mark, None))
 
     def merge_cache(self, entries: dict[tuple[str, ...], float]) -> int:
         """Adopt precomputed entropies (canonical keys, nats).
 
         Entries already memoized locally are kept (both sides compute the
         same value for the same key, so precedence is irrelevant).
-        Returns the number of newly added entries.  This is how the
-        multiprocessing scorer folds per-worker memos into the run's
+        Returns the number of newly added entries.  This is how a
+        persisted or worker-computed memo is folded into a relation's
         shared engine.
         """
         added = 0

@@ -51,6 +51,7 @@ from __future__ import annotations
 
 import argparse
 import bisect
+import gc
 import hashlib
 import itertools
 import json
@@ -86,6 +87,14 @@ from repro.service.telemetry import MetricsRegistry, StageTimings, Telemetry
 #: (argv is visible in ``ps``; the token must not be).
 TOKEN_ENV = "REPRO_CLUSTER_TOKEN"
 FAULTS_ENV = "REPRO_CLUSTER_FAULTS"
+
+#: Thread-pool sizes of the BLAS/OpenMP runtimes numpy may load; each
+#: worker process gets 1 unless the operator's environment sets one.
+BLAS_THREAD_ENVS = (
+    "OPENBLAS_NUM_THREADS",
+    "OMP_NUM_THREADS",
+    "MKL_NUM_THREADS",
+)
 
 #: Fault sites a worker process arms from the shipped plan spec.  The
 #: rest fire in the front end (http.*, cache.*, registry.*, jobs.slow,
@@ -347,6 +356,13 @@ class ClusterSupervisor:
             else package_root + os.pathsep + existing
         )
         env[TOKEN_ENV] = self._token
+        # The worker processes are the cluster's parallelism.  A BLAS
+        # thread pool per worker only oversubscribes the cores: its idle
+        # threads spin after every small numpy call, doubling a worker's
+        # CPU time at no gain in wall time.  An operator's explicit
+        # setting wins.
+        for name in BLAS_THREAD_ENVS:
+            env.setdefault(name, "1")
         if self._faults.enabled:
             env[FAULTS_ENV] = json.dumps(self._faults.to_spec())
         else:
@@ -533,7 +549,6 @@ class ClusterSupervisor:
         params: dict,
         *,
         deadline_at: float | None = None,
-        workers: int | None = None,
         trace: str | None = None,
         timings: StageTimings | None = None,
     ) -> dict:
@@ -576,7 +591,6 @@ class ClusterSupervisor:
             "fingerprint": fingerprint,
             "operation": operation,
             "params": params,
-            "workers": workers,
             "deadline_in_s": (
                 None
                 if deadline_at is None
@@ -978,7 +992,6 @@ class _WorkerRuntime:
                 message["operation"],
                 message["params"],
                 deadline_at=deadline_at,
-                workers=message.get("workers"),
                 faults=self._faults,
                 timings=timings,
             )
@@ -1232,6 +1245,12 @@ def worker_main(argv: list[str] | None = None) -> int:
     runtime = _WorkerRuntime(
         max_resident=args.max_resident, faults=plan, worker_id=args.worker_id
     )
+    # The imported modules live as long as the process.  Freezing them
+    # keeps the cyclic collector from walking that whole heap again: the
+    # first full collection otherwise lands inside the worker's first
+    # job and costs it ~60 ms on a 20k-row analyze.
+    gc.collect()
+    gc.freeze()
     with send_lock:
         send_frame(
             sock,

@@ -16,7 +16,7 @@ transport between them:
   ``hello``   w → f      worker announces ``worker_id`` + ``pid`` + the
                          shared-secret token it was spawned with
   ``req``     f → w      run one operation: ``id``, ``fingerprint``,
-                         ``operation``, canonical ``params``, ``workers``,
+                         ``operation``, canonical ``params``,
                          ``deadline_in_s`` (remaining budget — absolute
                          monotonic times do not cross processes), the
                          hydration references ``snapshot_dir`` / ``source``

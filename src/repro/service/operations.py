@@ -8,8 +8,8 @@ be consumed by the same tooling.
 
 ``canonicalize_params`` is what makes the result cache effective: it
 fills every omitted knob with its default, rejects unknown keys, and
-drops execution-only knobs (``workers``) that cannot change the result,
-so all spellings of the same computation share one cache key.
+drops the execution-only ``deadline``, so all spellings of the same
+computation share one cache key.
 """
 
 from __future__ import annotations
@@ -51,13 +51,12 @@ _PARAM_DEFAULTS: dict[str, dict[str, object]] = {
     "decompose": {**_COMMON_DEFAULTS, **_MINING_DEFAULTS, "schema": None},
 }
 
-#: Accepted but excluded from the cache key.  ``workers`` (process
-#: sharding) cannot change the mined result, only its speed.
-#: ``deadline`` *can* change the result — but deadline-affected
-#: (partial/timeout) outcomes are never cached, so every *cached*
-#: report is deadline-independent and may be shared across deadline
-#: spellings; the job layer handles both (see ``JobQueue.submit``).
-_EXECUTION_ONLY = ("workers", "deadline")
+#: Accepted but excluded from the cache key.  ``deadline`` *can* change
+#: the result — but deadline-affected (partial/timeout) outcomes are
+#: never cached, so every *cached* report is deadline-independent and
+#: may be shared across deadline spellings; the job layer handles it
+#: (see ``JobQueue.submit``).
+_EXECUTION_ONLY = ("deadline",)
 
 
 def parse_schema_text(text: str) -> list[set[str]]:
@@ -170,7 +169,6 @@ def _mine_with_fallback(
     canonical: dict,
     backend,
     *,
-    workers: int | None,
     deadline_at: float | None,
     faults: FaultPlan,
 ):
@@ -191,7 +189,6 @@ def _mine_with_fallback(
                 threshold=canonical["threshold"],
                 max_separator_size=canonical["max_separator"],
                 strategy=canonical["strategy"],
-                workers=workers,
                 deadline_at=deadline_at,
                 seed=canonical["seed"],
                 backend=backend,
@@ -216,7 +213,6 @@ def _mine_with_fallback(
             threshold=canonical["threshold"],
             max_separator_size=canonical["max_separator"],
             strategy=canonical["strategy"],
-            workers=workers,
             deadline_at=deadline_at,
             seed=canonical["seed"],
             backend=fallback,
@@ -235,7 +231,6 @@ def run_operation(
     canonical: dict,
     *,
     deadline_at: float | None = None,
-    workers: int | None = None,
     faults: FaultPlan | None = None,
     timings=None,
 ) -> dict:
@@ -244,8 +239,7 @@ def run_operation(
     ``deadline_at`` (absolute ``time.monotonic()``) bounds the mining
     search via the context plumbing; when mining runs out of time the
     payload is marked ``"partial": true`` (and the job layer withholds
-    it from the cache).  ``workers`` requests fork-pool split scoring
-    inside this worker.  ``faults`` threads the chaos harness through
+    it from the cache).  ``faults`` threads the chaos harness through
     the compute path (``jobs.oom``); an exact mine that runs out of
     memory degrades to the sketch backend and the payload is marked
     ``"degraded": true`` (also withheld from the cache).  ``timings``
@@ -268,7 +262,6 @@ def run_operation(
                 relation,
                 canonical,
                 backend,
-                workers=workers,
                 deadline_at=deadline_at,
                 faults=faults,
             )
@@ -320,7 +313,6 @@ def run_operation(
                     relation,
                     canonical,
                     backend,
-                    workers=workers,
                     deadline_at=deadline_at,
                     faults=faults,
                 )

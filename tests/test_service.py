@@ -202,10 +202,13 @@ class TestResultCache:
 
 class TestCanonicalizeParams:
     def test_defaults_filled_and_workers_dropped(self):
-        canonical = canonicalize_params("mine", {"workers": 4})
+        # ``workers`` is not a job parameter: rejected like any unknown
+        # key, which the HTTP layer maps to 400 ``bad_request``.
+        canonical = canonicalize_params("mine", None)
         assert canonical["strategy"] == "recursive"
         assert canonical["threshold"] == 1e-9
-        assert "workers" not in canonical
+        with pytest.raises(ServiceError, match="workers"):
+            canonicalize_params("mine", {"workers": 4})
 
     def test_spellings_collapse_to_one_key(self):
         sparse = canonicalize_params("mine", None)

@@ -141,6 +141,7 @@ class TestJobEndpoints:
         for operation, params in [
             ("mine", {"strategy": "quantum"}),
             ("mine", {"frobnicate": 1}),
+            ("mine", {"workers": 4}),
             ("transmogrify", {}),
             ("analyze", {}),
         ]:
